@@ -275,7 +275,7 @@ let fusion_baseline () =
         let table = Cluster.build_table layout prog g in
         let switch order = Reuse.disk_switches table order in
         let fused = Dp_restructure.Fusion.order prog g in
-        let reuse, _ = ((Reuse.schedule layout prog g).Reuse.order, ()) in
+        let reuse = (Reuse.schedule g table).Reuse.order in
         let energy order =
           let trace = Generate.trace layout prog g (Generate.single_stream g ~order) in
           Tabulate.fmt_norm (normalized ctx Policy.default_drpm trace)
@@ -732,7 +732,8 @@ let micro () =
         (Staged.stage (fun () -> ignore (Concrete.build prog)));
       Test.make ~name:"reuse schedule (FFT)"
         (Staged.stage (fun () ->
-             ignore (Reuse.schedule (Pipeline.layout ctx) prog (Pipeline.graph ctx))));
+             let g = Pipeline.graph ctx in
+             ignore (Reuse.schedule g (Cluster.build_table (Pipeline.layout ctx) prog g))));
       Test.make ~name:"trace generation (FFT)"
         (Staged.stage (fun () ->
              let g = Pipeline.graph ctx in

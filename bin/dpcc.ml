@@ -175,8 +175,8 @@ let restructure source symbolic profile =
       end
       else begin
         let g = Pipeline.graph ctx in
-        let s = Reuse.schedule layout program g in
         let table = Cluster.build_table layout program g in
+        let s = Reuse.schedule g table in
         Format.printf
           "restructured %d iterations in %d round(s), %d disk visit(s)@."
           (Array.length s.Reuse.order) s.Reuse.rounds (List.length s.Reuse.visits);

@@ -22,11 +22,10 @@ let localization (ctx : Runner.ctx) (a : Parallelize.assignment) =
   let layout = Pipeline.layout ctx and prog = Pipeline.program ctx in
   let disks = layout.Layout.disk_count in
   let hits = ref 0 and total = ref 0 in
+  let nest_of = Ir.nest_lookup prog in
   Array.iter
     (fun (inst : Concrete.instance) ->
-      let nest =
-        List.find (fun (n : Ir.nest) -> n.Ir.nest_id = inst.Concrete.nest_id) prog.Ir.nests
-      in
+      let nest = nest_of inst.Concrete.nest_id in
       List.iter
         (fun ((r : Ir.array_ref), coords) ->
           incr total;

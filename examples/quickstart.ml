@@ -10,6 +10,7 @@
 module Ir = Dp_ir.Ir
 module A = Dp_affine.Affine
 module Striping = Dp_layout.Striping
+module Cluster = Dp_restructure.Cluster
 module Reuse = Dp_restructure.Reuse_scheduler
 module Engine = Dp_disksim.Engine
 module Policy = Dp_disksim.Policy
@@ -41,7 +42,8 @@ let () =
 
   (* 3. Restructure: cluster iterations disk by disk (Fig. 3).  The
      scheduler itself runs on the pipeline's shared dependence graph. *)
-  let schedule = Reuse.schedule (Pipeline.layout ctx) program (Pipeline.graph ctx) in
+  let g = Pipeline.graph ctx in
+  let schedule = Reuse.schedule g (Cluster.build_table (Pipeline.layout ctx) program g) in
   Format.printf "restructured in %d round(s); visits:" schedule.Reuse.rounds;
   List.iter (fun (d, n) -> Format.printf " d%d:%d" d n) schedule.Reuse.visits;
   Format.printf "@.";

@@ -120,6 +120,21 @@ let validate prog =
 let array_elems a = List.fold_left ( * ) 1 a.dims
 let array_bytes a = array_elems a * a.elem_size
 let total_bytes prog = List.fold_left (fun acc a -> acc + array_bytes a) 0 prog.arrays
+
+let nest_position prog =
+  let tbl = Hashtbl.create 16 in
+  List.iteri
+    (fun pos n -> if not (Hashtbl.mem tbl n.nest_id) then Hashtbl.add tbl n.nest_id pos)
+    prog.nests;
+  fun id ->
+    match Hashtbl.find_opt tbl id with
+    | Some pos -> pos
+    | None -> invalid_arg (Printf.sprintf "Ir: unknown nest id %d" id)
+
+let nest_lookup prog =
+  let nests = Array.of_list prog.nests and position = nest_position prog in
+  fun id -> nests.(position id)
+
 let nest_depth n = List.length n.loops
 let nest_indices n = List.map (fun l -> l.index) n.loops
 

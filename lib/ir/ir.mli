@@ -86,6 +86,17 @@ val array_elems : array_decl -> int
 
 val array_bytes : array_decl -> int
 val total_bytes : program -> int
+val nest_position : program -> int -> int
+(** [nest_position prog] indexes the program's nests by [nest_id] once;
+    the returned function maps an id to its nest's position in
+    [prog.nests] in O(1).  Partially apply it outside per-instance loops.
+    @raise Invalid_argument (from the returned function) for an id no
+    nest carries. *)
+
+val nest_lookup : program -> int -> nest
+(** [nest_lookup prog] is {!nest_position} returning the nest itself: the
+    one id-to-nest lookup of every per-instance pass. *)
+
 val nest_depth : nest -> int
 val nest_indices : nest -> string list
 val arrays_referenced : nest -> string list

@@ -214,20 +214,20 @@ let build_streams t g ~cluster ~procs mode =
       (* Unmodified code, conventionally parallelized, fork-join nests. *)
       (Generate.original_segments prog g (Parallelize.conventional prog g ~procs), None)
   | Reuse_single, 1 ->
-      let s = Reuse.schedule ~policy:cluster t.layout prog g in
+      let s = Reuse.schedule g (Cluster.build_table ~policy:cluster t.layout prog g) in
       (Generate.single_stream g ~order:s.Reuse.order, Some s.Reuse.rounds)
   | Reuse_multi, 1 -> assert false (* rejected by check_streams_args *)
   | (Reuse_single | Reuse_multi), _ ->
+      (* One clustering table for every subset the build schedules: it
+         is local to this (already serialized) build, so no other
+         domain sees it. *)
+      let table = Cluster.build_table ~policy:cluster t.layout prog g in
       let rounds = ref 0 in
       let disks = t.layout.Layout.disk_count in
       (* Each processor begins its disk tour on a different disk so the
          tours do not contend for the same I/O node. *)
-      let reuse p ~member =
-        let s =
-          Reuse.schedule_subset ~policy:cluster t.layout prog g
-            ~start_disk:(p * disks / procs)
-            ~member
-        in
+      let reuse p members =
+        let s = Reuse.schedule_subset g table ~start_disk:(p * disks / procs) ~members in
         rounds := max !rounds s.Reuse.rounds;
         s.Reuse.order
       in
@@ -236,26 +236,18 @@ let build_streams t g ~cluster ~procs mode =
           (* Global restructuring: the data-space assignment spans all
              nests, no synchronization between them (Fig. 6(b)). *)
           let assignment = Parallelize.layout_aware t.layout prog g ~procs in
+          let members = Parallelize.members assignment in
           Generate.reordered_segments assignment ~order_of_proc:(fun p ->
-              reuse p ~member:(fun seq -> assignment.Parallelize.owner.(seq) = p))
+              reuse p members.(p))
         end
-        else begin
+        else
           (* The single-CPU algorithm applied to each processor's share
              of the conventionally parallelized code: the fork-join
              barriers between nests remain, so disk reuse is exploited
              within each nest only. *)
-          let assignment = Parallelize.conventional prog g ~procs in
-          let nest_ids =
-            List.map (fun (n : Ir.nest) -> n.Ir.nest_id) prog.Ir.nests
-          in
-          Array.init procs (fun p ->
-              List.map
-                (fun nest_id ->
-                  reuse p ~member:(fun seq ->
-                      assignment.Parallelize.owner.(seq) = p
-                      && g.Concrete.instances.(seq).Concrete.nest_id = nest_id))
-                nest_ids)
-        end
+          Array.mapi
+            (fun p per_nest -> List.map (reuse p) per_nest)
+            (Parallelize.nest_members prog g (Parallelize.conventional prog g ~procs))
       in
       (segs, Some !rounds)
 

@@ -11,14 +11,8 @@ let policy_name = function
 
 let all_policies = [ First_ref; Min_disk; Majority ]
 
-let nest_by_id (prog : Ir.program) id =
-  match List.find_opt (fun (n : Ir.nest) -> n.nest_id = id) prog.nests with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Cluster: unknown nest id %d" id)
-
 let disks_of_instance layout prog (inst : Concrete.instance) =
-  let n = nest_by_id prog inst.nest_id in
-  let accesses = Ir.element_accesses n inst.iter in
+  let accesses = Ir.element_accesses (Ir.nest_lookup prog inst.nest_id) inst.iter in
   let disks =
     List.map (fun ((r : Ir.array_ref), coords) -> Layout.disk_of_element layout r.array coords) accesses
   in
@@ -40,26 +34,17 @@ let key_of_disks policy all_disks =
           | Some (d, _) -> d
           | None -> first))
 
-type table = { key : int array; touched : int array array }
+type table = { key : int array; touched : int array array; disks : int }
 
 let build_table ?(policy = First_ref) layout prog (g : Concrete.graph) =
+  Dp_obs.Prof.span "restructure.cluster-table" @@ fun () ->
   let n = Concrete.instance_count g in
   let key = Array.make n (-1) in
   let touched = Array.make n [||] in
-  (* Group instances by nest to avoid re-resolving the nest per instance. *)
-  let nest_cache = Hashtbl.create 8 in
-  let nest_of id =
-    match Hashtbl.find_opt nest_cache id with
-    | Some n -> n
-    | None ->
-        let n = nest_by_id prog id in
-        Hashtbl.add nest_cache id n;
-        n
-  in
+  let nest_of = Ir.nest_lookup prog in
   Array.iter
     (fun (inst : Concrete.instance) ->
-      let nest = nest_of inst.nest_id in
-      let accesses = Ir.element_accesses nest inst.iter in
+      let accesses = Ir.element_accesses (nest_of inst.nest_id) inst.iter in
       let all_disks =
         List.map
           (fun ((r : Ir.array_ref), coords) -> Layout.disk_of_element layout r.array coords)
@@ -70,4 +55,4 @@ let build_table ?(policy = First_ref) layout prog (g : Concrete.graph) =
       key.(inst.seq) <- key_of_disks policy all_disks;
       touched.(inst.seq) <- Array.of_list (Dp_util.Listx.uniq ( = ) all_disks))
     g.instances;
-  { key; touched }
+  { key; touched; disks = layout.Layout.disk_count }

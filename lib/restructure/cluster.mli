@@ -24,6 +24,15 @@ val disks_of_instance :
 type table = {
   key : int array;  (** seq -> clustering key node (-1 for compute-only) *)
   touched : int array array;  (** seq -> distinct nodes touched *)
+  disks : int;  (** I/O nodes of the layout the table was built for *)
 }
 
 val build_table : ?policy:policy -> Layout.t -> Ir.program -> Concrete.graph -> table
+(** The whole-program table: one {!Ir.element_accesses} and one
+    {!Layout.disk_of_element} per access of every instance, O(n) in the
+    instance count.  It depends only on the layout, the program and the
+    policy, so build it once and pass it to every
+    {!Reuse_scheduler.schedule_subset} call over the same program (a
+    multi-processor stream build schedules one subset per processor, or
+    per processor and nest).  Runs under the [restructure.cluster-table]
+    {!Dp_obs.Prof} span. *)

@@ -9,11 +9,6 @@ type result = {
   baseline_cost : float;
 }
 
-let nest_table (prog : Ir.program) =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (n : Ir.nest) -> Hashtbl.add tbl n.Ir.nest_id n) prog.Ir.nests;
-  tbl
-
 (* Sampled instances: an even stride through the execution, so every
    nest contributes proportionally. *)
 let sample_instances (g : Concrete.graph) sample =
@@ -27,12 +22,12 @@ let sample_instances (g : Concrete.graph) sample =
 let cost ?(sample = 20_000) (prog : Ir.program) (g : Concrete.graph) ~stripings =
   let layout = Layout.make ~overrides:stripings prog in
   let disks = layout.Layout.disk_count in
-  let nests = nest_table prog in
+  let nest_of = Ir.nest_lookup prog in
   let load = Array.make disks 0 in
   let distinct_total = ref 0 and instances = ref 0 in
   List.iter
     (fun (inst : Concrete.instance) ->
-      let nest = Hashtbl.find nests inst.Concrete.nest_id in
+      let nest = nest_of inst.Concrete.nest_id in
       let accesses = Ir.element_accesses nest inst.Concrete.iter in
       if accesses <> [] then begin
         incr instances;

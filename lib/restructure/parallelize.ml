@@ -9,11 +9,6 @@ type assignment = { procs : int; owner : int array }
 
 let clamp_proc procs p = if p < 0 then 0 else if p >= procs then procs - 1 else p
 
-let nest_by_id (prog : Ir.program) id =
-  match List.find_opt (fun (n : Ir.nest) -> n.nest_id = id) prog.nests with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Parallelize: unknown nest id %d" id)
-
 (* Chunk of the block-partitioned loop [k] that iteration [iter] falls
    into; bounds may depend on outer indices (triangular nests). *)
 let chunk_of_iteration (n : Ir.nest) k ~procs iter =
@@ -32,9 +27,10 @@ let conventional (prog : Ir.program) (g : Concrete.graph) ~procs =
       Hashtbl.add parallel_loop n.nest_id (Analysis.outermost_parallel_loop n))
     prog.nests;
   let owner = Array.make (Concrete.instance_count g) 0 in
+  let nest_of = Ir.nest_lookup prog in
   Array.iter
     (fun (inst : Concrete.instance) ->
-      let n = nest_by_id prog inst.nest_id in
+      let n = nest_of inst.nest_id in
       match Hashtbl.find parallel_loop inst.nest_id with
       | Some k -> owner.(inst.seq) <- chunk_of_iteration n k ~procs inst.iter
       | None -> owner.(inst.seq) <- 0)
@@ -113,15 +109,7 @@ let layout_aware ?anchor layout (prog : Ir.program) (g : Concrete.graph) ~procs 
   let disks = layout.Layout.disk_count in
   let fallback = conventional prog g ~procs in
   let owner = Array.make (Concrete.instance_count g) 0 in
-  let nest_cache = Hashtbl.create 8 in
-  let nest_of id =
-    match Hashtbl.find_opt nest_cache id with
-    | Some n -> n
-    | None ->
-        let n = nest_by_id prog id in
-        Hashtbl.add nest_cache id n;
-        n
-  in
+  let nest_of = Ir.nest_lookup prog in
   (* Plurality vote over the processors whose disk shares hold the
      iteration's accesses; anchor-array accesses count double (they
      define the affinity class).  Ties rotate over the tied processors so
@@ -154,3 +142,27 @@ let proc_counts a =
   let counts = Array.make a.procs 0 in
   Array.iter (fun p -> counts.(p) <- counts.(p) + 1) a.owner;
   counts
+
+(* Bucket every instance by (owner, class) in one pass over [owner]:
+   count, then fill in seq order, so each bucket comes out sorted. *)
+let bucket a ~classes ~class_of =
+  let slot = Array.mapi (fun seq p -> (p * classes) + class_of seq) a.owner in
+  let counts = Array.make (a.procs * classes) 0 in
+  Array.iter (fun b -> counts.(b) <- counts.(b) + 1) slot;
+  let buckets = Array.map (fun c -> Array.make c 0) counts in
+  Array.fill counts 0 (Array.length counts) 0;
+  Array.iteri
+    (fun seq b ->
+      buckets.(b).(counts.(b)) <- seq;
+      counts.(b) <- counts.(b) + 1)
+    slot;
+  Array.init a.procs (fun p -> Array.sub buckets (p * classes) classes)
+
+let members a =
+  Array.map (fun per_class -> per_class.(0)) (bucket a ~classes:1 ~class_of:(fun _ -> 0))
+
+let nest_members (prog : Ir.program) (g : Concrete.graph) a =
+  let position = Ir.nest_position prog in
+  bucket a ~classes:(List.length prog.nests) ~class_of:(fun seq ->
+      position g.Concrete.instances.(seq).Concrete.nest_id)
+  |> Array.map Array.to_list

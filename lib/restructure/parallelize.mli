@@ -62,3 +62,18 @@ val proc_of_disk : disks:int -> procs:int -> int -> int
 
 val proc_counts : assignment -> int array
 (** Instances per processor. *)
+
+(** {1 Per-processor members}
+
+    Both are one O(n) bucketing pass over [owner]; every array lists
+    instance seqs in increasing (original execution) order, the form
+    {!Reuse_scheduler.schedule_subset} takes. *)
+
+val members : assignment -> int array array
+(** [(members a).(p)]: the instances processor [p] owns. *)
+
+val nest_members : Ir.program -> Concrete.graph -> assignment -> int array list array
+(** [(nest_members prog g a).(p)]: processor [p]'s instances split by
+    nest, one array per nest of [prog.nests] in program order (empty
+    when [p] owns none of a nest's iterations) — the fork-join phases of
+    conventionally parallelized code. *)

@@ -1,5 +1,3 @@
-module Ir = Dp_ir.Ir
-module Layout = Dp_layout.Layout
 module Concrete = Dp_dependence.Concrete
 module Minheap = Dp_util.Minheap
 
@@ -16,25 +14,55 @@ type schedule = { order : int array; rounds : int; visits : (int * int) list }
    — must wait for the next visit (Fig. 4: iteration 7 waits for the
    second round even though its predecessor 6 ran in the first). *)
 
-let schedule_subset ?policy ?(start_disk = 0) layout prog (g : Concrete.graph) ~member =
+(* The local index of a member seq (its position in the sorted
+   [members]), or -1 for a non-member: O(1) when the members form a
+   contiguous seq range (the whole program, or one nest's share under a
+   block partition), a binary search otherwise. *)
+let local_index members =
+  let m = Array.length members in
+  if m = 0 then fun _ -> -1
+  else begin
+    let lo = members.(0) and hi = members.(m - 1) in
+    if hi - lo + 1 = m then fun seq -> if seq >= lo && seq <= hi then seq - lo else -1
+    else fun seq ->
+      if seq < lo || seq > hi then -1
+      else begin
+        let rec search l h =
+          if l > h then -1
+          else
+            let mid = (l + h) / 2 in
+            let v = members.(mid) in
+            if v = seq then mid
+            else if v < seq then search (mid + 1) h
+            else search l (mid - 1)
+        in
+        search 0 (m - 1)
+      end
+  end
+
+let schedule_subset ?(start_disk = 0) (g : Concrete.graph) (table : Cluster.table)
+    ~members =
   Dp_obs.Prof.span "restructure.reuse-schedule" @@ fun () ->
   let n = Concrete.instance_count g in
-  let table = Cluster.build_table ?policy layout prog g in
+  let m = Array.length members in
+  Array.iteri
+    (fun i seq ->
+      if seq < 0 || seq >= n || (i > 0 && seq <= members.(i - 1)) then
+        invalid_arg
+          "Reuse_scheduler.schedule_subset: members must be increasing instance seqs")
+    members;
+  let local = local_index members in
   let disk_count =
     Array.fold_left
-      (fun acc k -> max acc (k + 1))
-      layout.Layout.disk_count table.Cluster.key
+      (fun acc seq -> max acc (table.Cluster.key.(seq) + 1))
+      table.Cluster.disks members
   in
-  let indegree = Array.make n 0 in
-  let members = ref 0 in
-  for seq = 0 to n - 1 do
-    if member seq then begin
-      incr members;
-      Array.iter
-        (fun src -> if member src then indegree.(seq) <- indegree.(seq) + 1)
-        g.preds.(seq)
-    end
-  done;
+  let indegree =
+    Array.map
+      (fun seq ->
+        Array.fold_left (fun c src -> if local src >= 0 then c + 1 else c) 0 g.preds.(seq))
+      members
+  in
   (* Bucket 0: compute-only instances; bucket d+1: disk d.  [staged]
      holds instances that became ready since the disk's visit started;
      [active] is the frozen visit set (refilled from [staged] when a new
@@ -45,10 +73,10 @@ let schedule_subset ?policy ?(start_disk = 0) layout prog (g : Concrete.graph) ~
     let k = table.Cluster.key.(seq) in
     if k < 0 then 0 else k + 1
   in
-  for seq = 0 to n - 1 do
-    if member seq && indegree.(seq) = 0 then Minheap.add staged.(bucket_of seq) seq
-  done;
-  let order = Array.make !members (-1) in
+  Array.iteri
+    (fun i seq -> if indegree.(i) = 0 then Minheap.add staged.(bucket_of seq) seq)
+    members;
+  let order = Array.make m (-1) in
   let scheduled = ref 0 in
   let visits = ref [] in
   (* The nest whose iterations the current visit is emitting; used to
@@ -57,9 +85,10 @@ let schedule_subset ?policy ?(start_disk = 0) layout prog (g : Concrete.graph) ~
   let release ~from_nest seq =
     Array.iter
       (fun dst ->
-        if member dst then begin
-          indegree.(dst) <- indegree.(dst) - 1;
-          if indegree.(dst) = 0 then begin
+        let j = local dst in
+        if j >= 0 then begin
+          indegree.(j) <- indegree.(j) - 1;
+          if indegree.(j) = 0 then begin
             let b = bucket_of dst in
             let same_nest =
               g.Concrete.instances.(dst).Concrete.nest_id = from_nest
@@ -88,7 +117,7 @@ let schedule_subset ?policy ?(start_disk = 0) layout prog (g : Concrete.graph) ~
     !c
   in
   let rounds = ref 0 in
-  while !scheduled < !members do
+  while !scheduled < m do
     incr rounds;
     for dd = 0 to disk_count - 1 do
       let d = (start_disk + dd) mod disk_count in
@@ -110,8 +139,8 @@ let schedule_subset ?policy ?(start_disk = 0) layout prog (g : Concrete.graph) ~
   Dp_obs.Prof.count "restructure.reuse-schedule" !rounds;
   { order; rounds = !rounds; visits = List.rev !visits }
 
-let schedule ?policy ?start_disk layout prog g =
-  schedule_subset ?policy ?start_disk layout prog g ~member:(fun _ -> true)
+let schedule ?start_disk g table =
+  schedule_subset ?start_disk g table ~members:(Concrete.original_order g)
 
 let disk_switches (table : Cluster.table) order =
   let last = ref (-1) and switches = ref 0 in

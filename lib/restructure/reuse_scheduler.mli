@@ -1,5 +1,3 @@
-module Ir = Dp_ir.Ir
-module Layout = Dp_layout.Layout
 module Concrete = Dp_dependence.Concrete
 
 (** The paper's core contribution for single-processor execution: the
@@ -28,31 +26,35 @@ type schedule = {
           visits are omitted *)
 }
 
-val schedule :
-  ?policy:Cluster.policy ->
-  ?start_disk:int ->
-  Layout.t ->
-  Ir.program ->
-  Concrete.graph ->
-  schedule
-(** Restructure the whole program.  Compute-only instances (touching no
-    disk) are scheduled greedily as soon as they become ready, attached
-    to the current visit.  [start_disk] rotates the round-robin visit
-    order (default 0); with several processors each one starts its tour
-    on a different disk so the tours do not contend. *)
+val schedule : ?start_disk:int -> Concrete.graph -> Cluster.table -> schedule
+(** Restructure the whole program: {!schedule_subset} over every
+    instance.  Compute-only instances (touching no disk) are scheduled
+    greedily as soon as they become ready, attached to the current
+    visit.  [start_disk] rotates the round-robin visit order (default
+    0); with several processors each one starts its tour on a different
+    disk so the tours do not contend.  The clustering policy is the one
+    the [table] was built with. *)
 
 val schedule_subset :
-  ?policy:Cluster.policy ->
-  ?start_disk:int ->
-  Layout.t ->
-  Ir.program ->
-  Concrete.graph ->
-  member:(int -> bool) ->
-  schedule
-(** Restructure only the instances selected by [member] (used to apply
-    the single-processor algorithm to one processor's share of a
-    parallelized program).  Dependences from non-member instances are
-    ignored — the caller is responsible for inter-processor ordering. *)
+  ?start_disk:int -> Concrete.graph -> Cluster.table -> members:int array -> schedule
+(** Restructure only the instances listed in [members], a strictly
+    increasing array of instance seqs (used to apply the
+    single-processor algorithm to one processor's share of a
+    parallelized program; {!Parallelize.members} and
+    {!Parallelize.nest_members} produce such arrays in one pass).
+    Dependences from non-member instances are ignored — the caller is
+    responsible for inter-processor ordering.
+
+    Cost: the [table] is read, never rebuilt, so build it once per
+    program and layout ({!Cluster.build_table}, O(n)) and share it
+    across calls.  Every per-call structure (indegrees, visit heaps,
+    the disk count) is sized from the subset: a call costs
+    O((|members| + edges) log |members|), where [edges] counts the
+    dependence edges incident to members; the log factor is the heap
+    plus, when the members are not one contiguous seq range, a binary
+    search per edge endpoint.
+    @raise Invalid_argument if [members] is not strictly increasing
+    within [\[0, n)]. *)
 
 val disk_switches : Cluster.table -> int array -> int
 (** Number of adjacent pairs in an order whose clustering keys differ —

@@ -6,11 +6,6 @@ module Parallelize = Dp_restructure.Parallelize
 type stream = int array
 type segments = stream list
 
-let nest_table (prog : Ir.program) =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (n : Ir.nest) -> Hashtbl.add tbl n.nest_id n) prog.Ir.nests;
-  tbl
-
 let trace ?(cost = Cost_model.default) layout (prog : Ir.program) (g : Concrete.graph)
     per_proc =
   Dp_obs.Prof.span "trace.generate" @@ fun () ->
@@ -22,7 +17,7 @@ let trace ?(cost = Cost_model.default) layout (prog : Ir.program) (g : Concrete.
       if List.length segs <> n_segments then
         invalid_arg "Generate.trace: processors disagree on segment count")
     per_proc;
-  let nests = nest_table prog in
+  let nest_of = Ir.nest_lookup prog in
   let requests = ref [] in
   let clocks = Array.make n_proc 0.0 in
   (* Compute time accumulated since the same processor's last request
@@ -34,7 +29,7 @@ let trace ?(cost = Cost_model.default) layout (prog : Ir.program) (g : Concrete.
   let last_pos = Array.make n_proc (-1, -1) in
   let run_instance proc seq =
     let inst = g.Concrete.instances.(seq) in
-    let nest = Hashtbl.find nests inst.Concrete.nest_id in
+    let nest = nest_of inst.Concrete.nest_id in
     List.iter
       (fun (s : Ir.stmt) ->
         let compute = Cost_model.compute_ms cost ~cycles:s.work_cycles in
@@ -86,22 +81,7 @@ let trace ?(cost = Cost_model.default) layout (prog : Ir.program) (g : Concrete.
 
 let single_stream _g ~order = [| [ order ] |]
 
-let original_segments (prog : Ir.program) (g : Concrete.graph)
-    (a : Parallelize.assignment) =
-  let n = Concrete.instance_count g in
-  let nest_ids = List.map (fun (nest : Ir.nest) -> nest.Ir.nest_id) prog.Ir.nests in
-  Array.init a.Parallelize.procs (fun proc ->
-      List.map
-        (fun nest_id ->
-          let buf = ref [] in
-          for seq = n - 1 downto 0 do
-            if
-              a.Parallelize.owner.(seq) = proc
-              && g.Concrete.instances.(seq).Concrete.nest_id = nest_id
-            then buf := seq :: !buf
-          done;
-          Array.of_list !buf)
-        nest_ids)
+let original_segments = Parallelize.nest_members
 
 let reordered_segments (a : Parallelize.assignment) ~order_of_proc =
   Array.init a.Parallelize.procs (fun proc -> [ order_of_proc proc ])

@@ -39,7 +39,7 @@ val original_segments :
   Ir.program -> Concrete.graph -> Parallelize.assignment -> segments array
 (** Per-processor streams in original execution order, one segment per
     nest (fork-join barriers between nests), under the given
-    assignment. *)
+    assignment: {!Parallelize.nest_members}, one O(n) pass. *)
 
 val reordered_segments :
   Parallelize.assignment -> order_of_proc:(int -> int array) -> segments array

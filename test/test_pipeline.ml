@@ -269,6 +269,44 @@ let test_mode_names () =
     [ Pipeline.Original; Pipeline.Reuse_single; Pipeline.Reuse_multi ];
   check Alcotest.bool "unknown mode name" true (Pipeline.mode_of_name "bogus" = None)
 
+(* --- restructuring cost: one clustering table per reuse stream build --- *)
+
+(* The 4-processor matrix of [dpcc report examples/programs/SOURCE -p 4
+   --no-cache] run from the repository root (the application is named
+   and described by that path whatever the working directory), with
+   the profiler's call counts for the run. *)
+let profiled_matrix source =
+  let module Prof = Dp_obs.Prof in
+  Prof.reset ();
+  Prof.enable ();
+  Fun.protect ~finally:(fun () -> Prof.disable (); Prof.reset ()) @@ fun () ->
+  let app = Pipeline.app (Pipeline.load (Filename.concat programs_dir source)) in
+  let path = "examples/programs/" ^ source in
+  let app = { app with Dp_workloads.App.name = path; description = path } in
+  let matrix =
+    Experiments.build_matrix ~apps:[ app ] ~jobs:1 ~procs:4
+      ~versions:(Version.multi_cpu @ Version.oracle) ()
+  in
+  let entries = List.map (fun e -> (e.Prof.p_name, e.Prof.calls)) (Prof.entries ()) in
+  (matrix, fun name -> Option.value ~default:0 (List.assoc_opt name entries))
+
+let test_one_table_per_stream_build () =
+  let _, calls = profiled_matrix "ast.dpl" in
+  check Alcotest.int "one table per reuse family" 2 (calls "restructure.cluster-table");
+  check Alcotest.int "one schedule per (proc, nest) and per proc" 72
+    (calls "restructure.reuse-schedule")
+
+(* MD5 of the 4-processor Cholesky matrix JSON, recorded before the
+   scheduler took member arrays: the input with the most scheduled
+   subsets (343 nests, 1376 scheduler calls). *)
+let test_cholesky_golden () =
+  let matrix, calls = profiled_matrix "cholesky.dpl" in
+  let json = Json_out.to_string_precise (Json_out.of_matrix matrix) in
+  check Alcotest.string "matrix digest" "7fdaadc339f97f782b972c336c0b653a"
+    (Digest.to_hex (Digest.string json));
+  check Alcotest.int "one table per reuse family" 2 (calls "restructure.cluster-table");
+  check Alcotest.int "scheduler calls" 1376 (calls "restructure.reuse-schedule")
+
 let test_multi_needs_procs () =
   let ctx = Pipeline.load transpose in
   check Alcotest.bool "Reuse_multi at 1 processor rejected" true
@@ -363,6 +401,9 @@ let suites =
         Alcotest.test_case "digest stability" `Quick test_digest_stability;
         Alcotest.test_case "mode names round-trip" `Quick test_mode_names;
         Alcotest.test_case "multi mode needs procs > 1" `Quick test_multi_needs_procs;
+        Alcotest.test_case "one cluster table per stream build" `Slow
+          test_one_table_per_stream_build;
+        Alcotest.test_case "golden: cholesky 4-CPU matrix" `Slow test_cholesky_golden;
         Alcotest.test_case "golden: CLI trace = Runner trace" `Slow test_cli_matches_runner;
         QCheck_alcotest.to_alcotest test_jobs_deterministic;
       ] );

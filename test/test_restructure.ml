@@ -60,10 +60,14 @@ let fig4_program =
 let fig4_layout =
   Layout.make ~default:(Striping.make ~unit_bytes:64 ~factor:4 ~start_disk:0) fig4_program
 
+(* The whole-program schedule under the default clustering policy. *)
+let schedule ?start_disk layout prog g =
+  Reuse.schedule ?start_disk g (Cluster.build_table layout prog g)
+
 let test_fig4_walkthrough () =
   let g = Concrete.build fig4_program in
   check Alcotest.int "13 instances" 13 (Concrete.instance_count g);
-  let s = Reuse.schedule fig4_layout fig4_program g in
+  let s = schedule fig4_layout fig4_program g in
   (* Expected: round 1 visits d0 {1,3}, d1 {2,6,10}, d2 {4,5,9},
      d3 {8,11,13}; round 2 visits d0 {7,12}.  seq = label - 1. *)
   check
@@ -96,7 +100,7 @@ let free_layout =
 
 let test_perfect_reuse () =
   let g = Concrete.build free_program in
-  let s = Reuse.schedule free_layout free_program g in
+  let s = schedule free_layout free_program g in
   check Alcotest.int "one round" 1 s.Reuse.rounds;
   check Alcotest.int "four visits" 4 (List.length s.Reuse.visits);
   let table = Cluster.build_table free_layout free_program g in
@@ -108,7 +112,7 @@ let test_perfect_reuse () =
 
 let test_start_disk_rotation () =
   let g = Concrete.build free_program in
-  let s = Reuse.schedule ~start_disk:2 free_layout free_program g in
+  let s = schedule ~start_disk:2 free_layout free_program g in
   (match s.Reuse.visits with
   | (first, _) :: _ -> check Alcotest.int "tour starts at disk 2" 2 first
   | [] -> Alcotest.fail "no visits");
@@ -116,14 +120,21 @@ let test_start_disk_rotation () =
 
 let test_schedule_subset () =
   let g = Concrete.build free_program in
+  let table = Cluster.build_table free_layout free_program g in
   let member seq = seq mod 2 = 0 in
-  let s = Reuse.schedule_subset free_layout free_program g ~member in
+  let s = Reuse.schedule_subset g table ~members:(Array.init 32 (fun k -> 2 * k)) in
   check Alcotest.int "half the instances" 32 (Array.length s.Reuse.order);
   check Alcotest.bool "only members" true (Array.for_all member s.Reuse.order);
   let sorted = Array.copy s.Reuse.order in
   Array.sort compare sorted;
   check Alcotest.bool "each member once" true
-    (Array.to_list sorted = List.init 32 (fun k -> 2 * k))
+    (Array.to_list sorted = List.init 32 (fun k -> 2 * k));
+  List.iter
+    (fun members ->
+      match Reuse.schedule_subset g table ~members with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "members out of order or range must be rejected")
+    [ [| 2; 0 |]; [| 1; 1 |]; [| -1 |]; [| 64 |] ]
 
 (* ------------------------------------------------------------------ *)
 (* Clustering policies. *)
@@ -260,9 +271,10 @@ let test_distributions () =
 let localization layout prog g (a : Parallelize.assignment) =
   let disks = layout.Layout.disk_count in
   let hits = ref 0 and total = ref 0 in
+  let nest_of = Ir.nest_lookup prog in
   Array.iter
     (fun (inst : Concrete.instance) ->
-      let nest = List.find (fun (n : Ir.nest) -> n.Ir.nest_id = inst.Concrete.nest_id) prog.Ir.nests in
+      let nest = nest_of inst.Concrete.nest_id in
       List.iter
         (fun ((r : Ir.array_ref), coords) ->
           incr total;
@@ -552,7 +564,7 @@ let test_workload_schedules_legal () =
           ~overrides:app.Dp_workloads.App.overrides app.Dp_workloads.App.program
       in
       let g = Concrete.build app.Dp_workloads.App.program in
-      let s = Reuse.schedule layout app.Dp_workloads.App.program g in
+      let s = schedule layout app.Dp_workloads.App.program g in
       check Alcotest.bool (name ^ " schedule legal") true
         (Concrete.is_legal_order g s.Reuse.order))
     [ "FFT"; "Cholesky" ]
@@ -631,7 +643,7 @@ let prop_schedule_fuzz =
          | Ok () ->
              let layout = Layout.make ~overrides:stripings prog in
              let g = Concrete.build prog in
-             let s = Reuse.schedule layout prog g in
+             let s = schedule layout prog g in
              Concrete.is_legal_order g s.Reuse.order
              && s.Reuse.rounds >= 1
              && Dp_util.Listx.sum_by snd s.Reuse.visits
@@ -648,16 +660,196 @@ let prop_subset_fuzz =
              let layout = Layout.make ~overrides:stripings prog in
              let g = Concrete.build prog in
              let a = Parallelize.layout_aware layout prog g ~procs:2 in
+             let table = Cluster.build_table layout prog g in
              let orders =
-               List.map
-                 (fun p ->
-                   (Reuse.schedule_subset layout prog g ~member:(fun seq ->
-                        a.Parallelize.owner.(seq) = p))
-                     .Reuse.order)
-                 [ 0; 1 ]
+               Array.to_list
+                 (Array.map
+                    (fun members -> (Reuse.schedule_subset g table ~members).Reuse.order)
+                    (Parallelize.members a))
              in
              let all = List.concat_map Array.to_list orders |> List.sort compare in
              all = List.init (Concrete.instance_count g) Fun.id))
+
+(* --- differential check against the predicate-based scheduler --- *)
+
+(* The scheduler as it was before subsets became member arrays: the
+   same Fig.-3 loop, with membership a predicate tested over all n
+   instances and every per-call array sized n.  It rebuilt the
+   clustering table on each call as well; the table is a pure function
+   of layout, program and policy, so here it is passed in. *)
+let reference_schedule_subset ?(start_disk = 0) (table : Cluster.table) (g : Concrete.graph)
+    ~member =
+  let module Minheap = Dp_util.Minheap in
+  let n = Concrete.instance_count g in
+  let disk_count =
+    Array.fold_left (fun acc k -> max acc (k + 1)) table.Cluster.disks table.Cluster.key
+  in
+  let indegree = Array.make n 0 in
+  let members = ref 0 in
+  for seq = 0 to n - 1 do
+    if member seq then begin
+      incr members;
+      Array.iter
+        (fun src -> if member src then indegree.(seq) <- indegree.(seq) + 1)
+        g.preds.(seq)
+    end
+  done;
+  let staged = Array.init (disk_count + 1) (fun _ -> Minheap.create ()) in
+  let active = Array.init (disk_count + 1) (fun _ -> Minheap.create ()) in
+  let bucket_of seq =
+    let k = table.Cluster.key.(seq) in
+    if k < 0 then 0 else k + 1
+  in
+  for seq = 0 to n - 1 do
+    if member seq && indegree.(seq) = 0 then Minheap.add staged.(bucket_of seq) seq
+  done;
+  let order = Array.make !members (-1) in
+  let scheduled = ref 0 in
+  let visits = ref [] in
+  let current_visit_disk = ref (-1) in
+  let release ~from_nest seq =
+    Array.iter
+      (fun dst ->
+        if member dst then begin
+          indegree.(dst) <- indegree.(dst) - 1;
+          if indegree.(dst) = 0 then begin
+            let b = bucket_of dst in
+            let same_nest = g.Concrete.instances.(dst).Concrete.nest_id = from_nest in
+            if b = 0 then Minheap.add staged.(0) dst
+            else if b - 1 = !current_visit_disk && same_nest then Minheap.add active.(b) dst
+            else Minheap.add staged.(b) dst
+          end
+        end)
+      g.succs.(seq)
+  in
+  let emit seq =
+    order.(!scheduled) <- seq;
+    incr scheduled;
+    release ~from_nest:g.Concrete.instances.(seq).Concrete.nest_id seq
+  in
+  let drain_compute_only () =
+    let c = ref 0 in
+    while not (Minheap.is_empty staged.(0)) do
+      emit (Minheap.pop_min staged.(0));
+      incr c
+    done;
+    !c
+  in
+  let rounds = ref 0 in
+  while !scheduled < !members do
+    incr rounds;
+    for dd = 0 to disk_count - 1 do
+      let d = (start_disk + dd) mod disk_count in
+      current_visit_disk := d;
+      let in_visit = ref (drain_compute_only ()) in
+      while not (Minheap.is_empty staged.(d + 1)) do
+        Minheap.add active.(d + 1) (Minheap.pop_min staged.(d + 1))
+      done;
+      while not (Minheap.is_empty active.(d + 1)) do
+        emit (Minheap.pop_min active.(d + 1));
+        incr in_visit;
+        in_visit := !in_visit + drain_compute_only ()
+      done;
+      current_visit_disk := -1;
+      if !in_visit > 0 then visits := (d, !in_visit) :: !visits
+    done
+  done;
+  { Reuse.order; rounds = !rounds; visits = List.rev !visits }
+
+let programs_dir =
+  let dir = "examples/programs" in
+  if Sys.file_exists dir then dir else Filename.concat ".." dir
+
+let same_schedule label (expect : Reuse.schedule) (got : Reuse.schedule) =
+  check Alcotest.(array int) (label ^ " order") expect.Reuse.order got.Reuse.order;
+  check Alcotest.int (label ^ " rounds") expect.Reuse.rounds got.Reuse.rounds;
+  check
+    Alcotest.(list (pair int int))
+    (label ^ " visits") expect.Reuse.visits got.Reuse.visits
+
+(* Schedules every subset of one stream family both ways and returns
+   the reference schedules.  [subsets.(p)] lists processor [p]'s
+   subsets as (nest id or -1, member predicate, member array). *)
+let differential_family ~label ~start_disk g table subsets =
+  Array.mapi
+    (fun p ->
+      List.map (fun (nest_id, member, members) ->
+          let start_disk = start_disk p in
+          let expect = reference_schedule_subset ~start_disk table g ~member in
+          let got = Reuse.schedule_subset ~start_disk g table ~members in
+          if got <> expect then
+            same_schedule (Printf.sprintf "%s proc %d nest %d" label p nest_id) expect got;
+          expect))
+    subsets
+
+(* Every subset a multi-processor stream build schedules, for both
+   reuse families: the member-array scheduler over the bucketed members
+   agrees with the reference over the owner predicate in order, rounds
+   and visits, and the pipeline's streams are exactly those orders. *)
+let test_differential_subsets () =
+  let module Pipeline = Dp_pipeline.Pipeline in
+  let sources =
+    List.map (fun name -> "app:" ^ name) (Dp_workloads.Workloads.names ())
+    @ List.map (Filename.concat programs_dir) [ "ast.dpl"; "rsense.dpl" ]
+  in
+  let check_family ctx ~policy ~procs table mode subsets =
+    let g = Pipeline.graph ctx in
+    let label =
+      Printf.sprintf "%s %s %s p=%d" (Pipeline.origin ctx) (Pipeline.mode_name mode)
+        (Cluster.policy_name policy) procs
+    in
+    let start_disk p = p * Pipeline.disks ctx / procs in
+    let reference = differential_family ~label ~start_disk g table subsets in
+    (* The pipeline's wiring (tour starts, nest order, round maximum)
+       does not depend on the policy: checking it under the default
+       one keeps the test affordable. *)
+    if policy = Cluster.First_ref then begin
+      let segs, rounds = Pipeline.streams ~cluster:policy ctx ~procs mode in
+      check
+        Alcotest.(array (list (array int)))
+        (label ^ " streams")
+        (Array.map (List.map (fun s -> s.Reuse.order)) reference)
+        segs;
+      let max_rounds = List.fold_left (fun acc s -> max acc s.Reuse.rounds) in
+      check
+        Alcotest.(option int)
+        (label ^ " stream rounds")
+        (Some (Array.fold_left max_rounds 0 reference))
+        rounds
+    end
+  in
+  List.iter
+    (fun source ->
+      let ctx = Pipeline.load source in
+      let g = Pipeline.graph ctx and layout = Pipeline.layout ctx in
+      let prog = Pipeline.program ctx in
+      let owned_by (a : Parallelize.assignment) p seq = a.Parallelize.owner.(seq) = p in
+      List.iter
+        (fun policy ->
+          let table = Cluster.build_table ~policy layout prog g in
+          List.iter
+            (fun procs ->
+              let conv = Parallelize.conventional prog g ~procs in
+              check_family ctx ~policy ~procs table Pipeline.Reuse_single
+                (Array.mapi
+                   (fun p ->
+                     List.map2
+                       (fun (nest : Ir.nest) members ->
+                         let id = nest.Ir.nest_id in
+                         let member seq =
+                           owned_by conv p seq && g.Concrete.instances.(seq).Concrete.nest_id = id
+                         in
+                         (id, member, members))
+                       prog.Ir.nests)
+                   (Parallelize.nest_members prog g conv));
+              let aware = Parallelize.layout_aware layout prog g ~procs in
+              check_family ctx ~policy ~procs table Pipeline.Reuse_multi
+                (Array.mapi
+                   (fun p members -> [ (-1, owned_by aware p, members) ])
+                   (Parallelize.members aware)))
+            [ 2; 4 ])
+        Cluster.all_policies)
+    sources
 
 let suites =
   [
@@ -667,6 +859,8 @@ let suites =
         Alcotest.test_case "perfect reuse" `Quick test_perfect_reuse;
         Alcotest.test_case "start-disk rotation" `Quick test_start_disk_rotation;
         Alcotest.test_case "subset scheduling" `Quick test_schedule_subset;
+        Alcotest.test_case "member arrays = predicate reference" `Slow
+          test_differential_subsets;
         Alcotest.test_case "workload schedules legal" `Slow test_workload_schedules_legal;
         prop_schedule_fuzz;
         prop_subset_fuzz;
