@@ -79,6 +79,15 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
     | Ok parsed -> parsed
     | Error e -> usage_error "%s" (Request.load_error_to_string e)
   in
+  if disks < 1 then usage_error "--disks must be at least 1 (got %d)" disks;
+  (* The engine rejects out-of-range disks too, but as a program error;
+     here it is the input that does not fit the flags. *)
+  (match List.find_opt (fun (r : Request.t) -> r.disk < 0 || r.disk >= disks) reqs with
+  | Some r -> usage_error "%s: request on disk %d, outside --disks %d" trace_file r.disk disks
+  | None -> ());
+  (match List.find_opt (fun (h : Dp_trace.Hint.t) -> h.disk < 0 || h.disk >= disks) hints with
+  | Some h -> usage_error "%s: hint on disk %d, outside --disks %d" trace_file h.disk disks
+  | None -> ());
   if shards < 1 then usage_error "--shards must be at least 1 (got %d)" shards;
   if live && shards > 1 then
     usage_error

@@ -1029,8 +1029,9 @@ let wear_fraction model stats =
    reconstruction route a request to its mirror).  Two groups share no
    mutable state — disjoint processors, clocks, disk states, injector
    and repair slots — so groups run on separate domains and the result
-   is the serial result bit for bit.  Both lists ascend so a group's
-   internal scan order matches the serial engine's index-order scans. *)
+   is the serial result bit for bit.  Both lists ascend; a group's
+   issue order comes from its issue heap, which breaks ties on the
+   processor index just as the serial run does. *)
 type shard_group = { g_procs : int list; g_disks : int list }
 
 let shard_groups ~n_proc ~disks ~mirror queues_seg =
@@ -1059,9 +1060,9 @@ let shard_groups ~n_proc ~disks ~mirror queues_seg =
   | None -> ());
   let groups : (int, int list * int list) Hashtbl.t = Hashtbl.create 16 in
   (* Descending passes cons up ascending member lists; processors with
-     no requests this segment never win the issue scan and are left out
-     of every group, as are the disk-only components they would leave
-     behind. *)
+     no requests this segment would never enter an issue heap and are
+     left out of every group, as are the disk-only components they would
+     leave behind. *)
   for p = n_proc - 1 downto 0 do
     if queues_seg.(p) <> [] then begin
       let r = find p in
@@ -1093,13 +1094,22 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
   List.iter
     (fun (r : Request.t) ->
       if r.disk < 0 || r.disk >= disks then
-        invalid_arg (Printf.sprintf "Engine.simulate: request on disk %d of %d" r.disk disks))
+        invalid_arg (Printf.sprintf "Engine.simulate: request on disk %d of %d" r.disk disks);
+      if not (Float.is_finite r.arrival_ms && Float.is_finite r.think_ms) then
+        invalid_arg
+          (Printf.sprintf "Engine.simulate: request with non-finite time (arrival %g, think %g)"
+             r.arrival_ms r.think_ms))
     reqs;
   List.iter
     (fun (h : Hint.t) ->
       if h.Hint.disk < 0 || h.Hint.disk >= disks then
         invalid_arg
-          (Printf.sprintf "Engine.simulate: hint on disk %d of %d" h.Hint.disk disks))
+          (Printf.sprintf "Engine.simulate: hint on disk %d of %d" h.Hint.disk disks);
+      let lead = match h.Hint.action with Hint.Pre_spin_up l -> l | _ -> 0.0 in
+      if not (Float.is_finite h.Hint.at_ms && Float.is_finite lead) then
+        invalid_arg
+          (Printf.sprintf "Engine.simulate: hint with non-finite time (at %g, lead %g)"
+             h.Hint.at_ms lead))
     hints;
   let hinted = hints <> [] in
   let fctx =
@@ -1141,18 +1151,30 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
              ~disks)
     | _ -> None
   in
-  let reqs = List.sort Request.compare_arrival reqs in
   let n_proc =
     1 + List.fold_left (fun acc (r : Request.t) -> max acc r.proc) (-1) reqs
   in
   let n_seg = 1 + List.fold_left (fun acc (r : Request.t) -> max acc r.seg) 0 reqs in
-  (* Per (segment, proc) queues, preserving per-proc issue order. *)
+  (* Per (segment, proc) queues in arrival order.  Bucketing in input
+     order and then stable-sorting each bucket gives exactly the queues a
+     stable sort of the whole trace would; a bucket that is already in
+     order (the usual case) is kept as it is, so an ordered trace costs
+     no sort at all. *)
   let queues : Request.t list array array =
     Array.init n_seg (fun _ -> Array.make (max n_proc 1) [])
   in
   List.iter (fun (r : Request.t) -> queues.(r.seg).(r.proc) <- r :: queues.(r.seg).(r.proc)) reqs;
+  let rec ordered = function
+    | a :: (b :: _ as rest) -> Request.compare_arrival a b <= 0 && ordered rest
+    | _ -> true
+  in
   Array.iter
-    (fun per_proc -> Array.iteri (fun p q -> per_proc.(p) <- List.rev q) per_proc)
+    (fun per_proc ->
+      Array.iteri
+        (fun p q ->
+          let q = List.rev q in
+          per_proc.(p) <- (if ordered q then q else List.stable_sort Request.compare_arrival q))
+        per_proc)
     queues;
   let states = Array.init disks (make_state ~record:record_timeline ~sink:obs model) in
   (match rctx with Some rx -> rx.peers <- states | None -> ());
@@ -1164,16 +1186,21 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
   let last_completion = Array.make disks 0.0 in
   let clocks = Array.make (max n_proc 1) 0.0 in
   let sink_on = Sink.enabled obs in
+  (* Each processor's next issue instant, keyed by index for the issue
+     heaps; like [clocks], groups write only their own processors' slots. *)
+  let issue_at = Array.make (max n_proc 1) 0.0 in
   (* One group's issue loop over a segment.  The group touches only its
-     own slots of [pending]/[clocks]/[last_completion] and its own disk
-     states, so concurrent groups never share a mutable cell.  With
-     [batch] set, the events of each issue step are buffered and tagged
-     with the step's (issue time, processor): the serial engine executes
-     steps in exactly (issue time, processor) order — per processor the
-     issue times are non-decreasing, and among processors tied at the
-     same instant the scan's strict [<] picks the lowest index first —
-     so a stable sort of all groups' batches on that key replays the
-     serial emission order bit for bit. *)
+     own slots of [pending]/[clocks]/[issue_at]/[last_completion] and its
+     own disk states, so concurrent groups never share a mutable cell.
+     Its processors with queued requests sit in a heap keyed on (next
+     issue time, processor): each step issues the minimum and re-keys
+     only that processor, O(log P) and allocation-free.  With [batch]
+     set, the events of each issue step are buffered and tagged with the
+     step's (issue time, processor): the serial engine executes steps in
+     exactly that key order — per processor the issue times are
+     non-decreasing, and ties at the same instant go to the lowest
+     index — so a stable sort of all groups' batches on that key replays
+     the serial emission order bit for bit. *)
   let run_group ~batch pending { g_procs; g_disks } =
     let batches = ref [] in
     let cur = ref [] in
@@ -1181,79 +1208,73 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
       let buffer = Sink.stream (fun e -> cur := e :: !cur) in
       List.iter (fun d -> states.(d).sink <- buffer) g_disks
     end;
-    let next_issue p =
-      match pending.(p) with
-      | [] -> infinity
-      | r :: _ -> clocks.(p) +. r.Request.think_ms
-    in
-    let rec step () =
-      (* Pick the processor with the earliest next issue time. *)
-      let best = ref (-1) and best_t = ref infinity in
-      List.iter
-        (fun p ->
-          let t = next_issue p in
-          if t < !best_t then begin
-            best := p;
-            best_t := t
-          end)
-        g_procs;
-      if !best >= 0 then begin
-        let p = !best in
+    let heap = Issue_heap.create ~keys:issue_at ~capacity:(List.length g_procs) in
+    List.iter
+      (fun p ->
         match pending.(p) with
-        | [] -> assert false
-        | r :: rest ->
-            pending.(p) <- rest;
-            (* Degraded mode: rebuild streams advance on failed slots up
-               to the issue instant, and the request is routed to the
-               mirror while its home slot is down.  Only this group's
-               slots: a foreign failed slot is advanced by its own
-               group's clock, and the rebuild stream's whole-slice
-               greedy advance reaches the same state through any
-               refinement of intermediate instants. *)
-            (match rctx with
-            | Some rx ->
-                List.iter
-                  (fun d ->
-                    let st = states.(d) in
-                    if Repair.is_failed rx.rc st.id then
-                      advance_rebuild model rx st ~until:!best_t)
-                  g_disks
-            | None -> ());
-            let target =
-              match rctx with
-              | Some rx when Repair.is_failed rx.rc r.Request.disk -> (
-                  match Repair.mirror_of rx.rc r.Request.disk with
-                  | Some m when not (Repair.is_failed rx.rc m) -> m
-                  | _ -> r.Request.disk)
-              | _ -> r.Request.disk
-            in
-            let st = states.(target) in
-            (* Scrub runs first, out of the same idle window the policy
-               is about to manage (and outside [handle_request], so the
-               stuck-RPM fallback recursion cannot double-spend the
-               budget); the policy then sees the shrunken remainder. *)
-            (match rctx with
-            | Some rx when !best_t > st.now -> scrub_gap model rx st ~until:!best_t
-            | _ -> ());
-            let response =
-              handle_request model policy ctrl fctx rctx st r ~issue:!best_t ~hinted
-                ~recon:(target <> r.Request.disk)
-            in
-            ignore response;
-            clocks.(p) <- !best_t +. response;
-            last_completion.(target) <- st.now;
-            (match rctx with
-            | Some rx when Repair.should_fail rx.rc ~disk:target ->
-                fail_disk model rx states.(target)
-            | _ -> ());
-            if batch then begin
-              batches := (!best_t, p, List.rev !cur) :: !batches;
-              cur := []
-            end;
-            step ()
-      end
-    in
-    step ();
+        | [] -> ()
+        | r :: _ ->
+            issue_at.(p) <- clocks.(p) +. r.Request.think_ms;
+            Issue_heap.push heap p)
+      g_procs;
+    while not (Issue_heap.is_empty heap) do
+      let p = Issue_heap.min heap in
+      let t = issue_at.(p) in
+      match pending.(p) with
+      | [] -> assert false
+      | r :: rest ->
+          pending.(p) <- rest;
+          (* Degraded mode: rebuild streams advance on failed slots up
+             to the issue instant, and the request is routed to the
+             mirror while its home slot is down.  Only this group's
+             slots: a foreign failed slot is advanced by its own
+             group's clock, and the rebuild stream's whole-slice
+             greedy advance reaches the same state through any
+             refinement of intermediate instants. *)
+          (match rctx with
+          | Some rx ->
+              List.iter
+                (fun d ->
+                  let st = states.(d) in
+                  if Repair.is_failed rx.rc st.id then advance_rebuild model rx st ~until:t)
+                g_disks
+          | None -> ());
+          let target =
+            match rctx with
+            | Some rx when Repair.is_failed rx.rc r.Request.disk -> (
+                match Repair.mirror_of rx.rc r.Request.disk with
+                | Some m when not (Repair.is_failed rx.rc m) -> m
+                | _ -> r.Request.disk)
+            | _ -> r.Request.disk
+          in
+          let st = states.(target) in
+          (* Scrub runs first, out of the same idle window the policy
+             is about to manage (and outside [handle_request], so the
+             stuck-RPM fallback recursion cannot double-spend the
+             budget); the policy then sees the shrunken remainder. *)
+          (match rctx with
+          | Some rx when t > st.now -> scrub_gap model rx st ~until:t
+          | _ -> ());
+          let response =
+            handle_request model policy ctrl fctx rctx st r ~issue:t ~hinted
+              ~recon:(target <> r.Request.disk)
+          in
+          clocks.(p) <- t +. response;
+          last_completion.(target) <- st.now;
+          (match rctx with
+          | Some rx when Repair.should_fail rx.rc ~disk:target ->
+              fail_disk model rx states.(target)
+          | _ -> ());
+          if batch then begin
+            batches := (t, p, List.rev !cur) :: !batches;
+            cur := []
+          end;
+          (match rest with
+          | [] -> Issue_heap.pop heap
+          | next :: _ ->
+              issue_at.(p) <- clocks.(p) +. next.Request.think_ms;
+              Issue_heap.fix_min heap)
+    done;
     if batch then List.iter (fun d -> states.(d).sink <- obs) g_disks;
     List.rev !batches
   in
@@ -1283,8 +1304,9 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
            core buy no parallelism but still pay the runtime's
            stop-the-world coordination on every minor collection, a cost
            that grows with the trace.  Clamped to one domain the pool
-           runs the groups sequentially in input order — same results,
-           and each group still scans only its own processors. *)
+           runs the groups sequentially in input order — same results
+           at about the serial cost (a group's heap is smaller than the
+           whole run's, a saving of a log factor only). *)
         let jobs =
           min (min shards (List.length gs)) (Domain.recommended_domain_count ())
         in

@@ -2,9 +2,10 @@ module Request = Dp_trace.Request
 
 (** Trace-driven multi-disk simulation engine.
 
-    Requests are served per I/O node in FIFO arrival order (arrival times
-    are fixed by the trace — open-loop, as in the paper's setup).  For
-    every inter-request gap the active policy decides the node's power
+    Requests are served per I/O node in FIFO issue order; issue times
+    are closed-loop (see {!simulate}); the trace's nominal arrival times
+    order each processor's stream and match compiler hints.  For every
+    inter-request gap the active policy decides the node's power
     trajectory (stay idle, spin down, or shift rotation speed); energy is
     integrated over the full timeline of every node up to the global
     makespan, so savings on one node are never hidden by activity on
@@ -77,9 +78,19 @@ val simulate :
   Request.t list ->
   result
 (** Simulate a trace on [disks] I/O nodes under a policy.  Requests whose
-    [disk] is outside [0, disks) raise [Invalid_argument].  The request
-    list need not be sorted.  [record_timeline] (default false) keeps the
-    per-disk power-state segments for {!Timeline.render}.
+    [disk] is outside [0, disks), and requests or hints carrying a
+    non-finite time ([arrival_ms], [think_ms], a hint's [at_ms] or
+    pre-spin-up lead), raise [Invalid_argument].  The request list need
+    not be sorted.  [record_timeline] (default false) keeps the per-disk
+    power-state segments for {!Timeline.render}.
+
+    The run is closed-loop: each processor issues its next request
+    [think_ms] after its previous one completes.  Processors with queued
+    requests wait in a binary heap keyed on (next issue time, processor
+    index), so each step issues the earliest, ties going to the lower
+    index, at O(log P) for P processors and with no allocation for the
+    choice.  Every queued request is issued: the per-disk [requests]
+    counts sum to the length of the input list.
 
     [shards] (default 1) caps how many domains the engine may fan the
     run across.  Each segment is split into the connected components of

@@ -426,6 +426,7 @@ let get_scaled c ~scale what =
 let get_raw_float c what =
   if c.cpos + 8 > c.len then cur_fail c "truncated record: %s runs past chunk end" what;
   let v = Int64.float_of_bits (Bytes.get_int64_le c.buf c.cpos) in
+  if not (Float.is_finite v) then cur_fail c "bad %s %g (expected a finite number)" what v;
   c.cpos <- c.cpos + 8;
   v
 

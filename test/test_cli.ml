@@ -753,6 +753,81 @@ let test_dpsim_truncated_bin () =
         (contains ~needle:(trunc ^ ":") err && contains ~needle:"truncated" err)
   | _ -> assert false
 
+(* Non-finite request or hint times used to parse, after which the
+   engine never issued that processor again: a trace announced as 4
+   requests served 2 and exited 0. *)
+let test_dpsim_nonfinite_text () =
+  with_trace_file
+    (String.concat "\n"
+       [
+         "0.000 0.000 0 0 0 4096 R 0 0";
+         "1.000 nan 0 4096 8 4096 R 0 0";
+         "2.000 1.000 0 8192 16 4096 R 0 0";
+         "0.000 0.000 0 0 0 4096 R 1 1\n";
+       ])
+    (fun path ->
+      let code, _, err = run [ dpsim; "-d"; "2"; path ] in
+      check Alcotest.int "NaN think exits 2" 2 code;
+      check Alcotest.bool "one-line diagnostic" true (one_line err);
+      check Alcotest.bool
+        (Printf.sprintf "names file:line and the field (got %S)" err)
+        true
+        (contains ~needle:(path ^ ":2:") err
+        && contains ~needle:{|bad think_ms "nan" (expected a finite number)|} err));
+  with_trace_file "H 0.000 0 U inf\n0.000 0.000 0 0 0 4096 R 0 0\n" (fun path ->
+      let code, _, err = run [ dpsim; path ] in
+      check Alcotest.int "infinite hint lead exits 2" 2 code;
+      check Alcotest.bool
+        (Printf.sprintf "names the hint line (got %S)" err)
+        true
+        (contains ~needle:(path ^ ":1:") err && contains ~needle:"lead" err))
+
+let test_dpsim_nonfinite_bin () =
+  with_temp_files 1 @@ function
+  | [ path ] ->
+      let r (think_ms : float) : Dp_trace.Request.t =
+        {
+          arrival_ms = 0.0;
+          think_ms;
+          seg = 0;
+          address = 0;
+          lba = 0;
+          size = 4096;
+          mode = Dp_ir.Ir.Read;
+          proc = 0;
+          disk = 0;
+        }
+      in
+      (* A non-finite time takes the codec's raw-float path. *)
+      Dp_trace.Bin.save path [ r 1.0; r Float.nan; r 2.0 ];
+      let code, _, err = run [ dpsim; path ] in
+      check Alcotest.int "NaN think exits 2" 2 code;
+      check Alcotest.bool "one-line diagnostic" true (one_line err);
+      check Alcotest.bool
+        (Printf.sprintf "names file:offset and the field (got %S)" err)
+        true
+        (contains ~needle:(path ^ ":") err
+        && contains ~needle:"request think" err
+        && contains ~needle:"finite" err)
+  | _ -> assert false
+
+let test_dpsim_disk_outside_disks () =
+  with_trace_file "0.000 0.000 0 0 0 4096 R 0 0\n0.000 0.000 0 0 0 4096 R 0 5\n" (fun path ->
+      let code, _, err = run [ dpsim; "-d"; "2"; path ] in
+      check Alcotest.int "request on disk 5 of 2 exits 2" 2 code;
+      check Alcotest.bool "one-line diagnostic" true (one_line err);
+      check Alcotest.bool
+        (Printf.sprintf "names the disk and the flag (got %S)" err)
+        true
+        (contains ~needle:"disk 5" err && contains ~needle:"--disks 2" err);
+      let code, _, err = run [ dpsim; "-d"; "0"; path ] in
+      check Alcotest.int "--disks 0 exits 2" 2 code;
+      check Alcotest.bool "names --disks" true (contains ~needle:"--disks" err));
+  with_trace_file "H 0.000 3 D\n0.000 0.000 0 0 0 4096 R 0 0\n" (fun path ->
+      let code, _, err = run [ dpsim; "-d"; "2"; path ] in
+      check Alcotest.int "hint on disk 3 of 2 exits 2" 2 code;
+      check Alcotest.bool "names the hint" true (contains ~needle:"hint on disk 3" err))
+
 (* --- intra-run sharding flags --- *)
 
 let test_cli_bad_shards () =
@@ -1078,6 +1153,9 @@ let suites =
         Alcotest.test_case "dpcc convert errors" `Quick test_dpcc_convert_errors;
         Alcotest.test_case "dpsim binary auto-detect" `Slow test_dpsim_bin_autodetect;
         Alcotest.test_case "dpsim truncated binary" `Slow test_dpsim_truncated_bin;
+        Alcotest.test_case "dpsim non-finite text times" `Quick test_dpsim_nonfinite_text;
+        Alcotest.test_case "dpsim non-finite binary time" `Quick test_dpsim_nonfinite_bin;
+        Alcotest.test_case "dpsim disk outside --disks" `Quick test_dpsim_disk_outside_disks;
         Alcotest.test_case "bad --shards" `Quick test_cli_bad_shards;
         Alcotest.test_case "dpcc simulate --shards identity" `Slow
           test_dpcc_simulate_shards_identity;

@@ -174,9 +174,25 @@ let test_engine_validation () =
   (match Engine.simulate ~disks:0 Policy.No_pm [] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "disks=0 must be rejected");
-  match Engine.simulate ~disks:1 Policy.No_pm [ req ~disk:3 ~think:1.0 () ] with
+  (match Engine.simulate ~disks:1 Policy.No_pm [ req ~disk:3 ~think:1.0 () ] with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "out-of-range disk must be rejected"
+  | _ -> Alcotest.fail "out-of-range disk must be rejected");
+  (* A non-finite time would never win the issue order: rejected up
+     front instead of silently dropping the processor's requests. *)
+  let rejects name ?(hints = []) reqs =
+    match Engine.simulate ~hints ~disks:2 Policy.No_pm reqs with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s must be rejected" name
+  in
+  rejects "NaN think" [ req ~think:1.0 (); req ~think:Float.nan () ];
+  rejects "infinite think" [ req ~think:Float.infinity () ];
+  rejects "infinite arrival"
+    [ { (req ~think:1.0 ()) with Request.arrival_ms = Float.neg_infinity } ];
+  let hint action at_ms = { Dp_trace.Hint.at_ms; disk = 0; action } in
+  rejects "NaN hint time" ~hints:[ hint Dp_trace.Hint.Spin_down Float.nan ] [ req ~think:1.0 () ];
+  rejects "infinite hint lead"
+    ~hints:[ hint (Dp_trace.Hint.Pre_spin_up Float.infinity) 0.0 ]
+    [ req ~think:1.0 () ]
 
 (* Random traces: physical sanity invariants under every policy. *)
 let trace_gen =
@@ -643,8 +659,162 @@ let prop_shards_identity =
             [ 2; 8 ])
         all_policies)
 
+(* --- the issue heap --- *)
+
+module Issue_heap = Dp_disksim.Issue_heap
+
+(* Keys drawn from a handful of values, so ties on the key are common
+   and the index tie-break is exercised. *)
+let keys_gen = QCheck2.Gen.(array_size (int_range 1 60) (map float_of_int (int_range 0 5)))
+
+let prop_heap_order =
+  qtest "Issue_heap: pops in (key, index) order" keys_gen (fun keys ->
+      let n = Array.length keys in
+      let h = Issue_heap.create ~keys ~capacity:n in
+      (* Push in a zigzag order (0, n-1, 1, n-2, ...): the result must
+         not depend on it. *)
+      List.iter (Issue_heap.push h)
+        (List.init n (fun i -> if i mod 2 = 0 then i / 2 else n - 1 - (i / 2)));
+      let popped = ref [] in
+      while not (Issue_heap.is_empty h) do
+        popped := Issue_heap.min h :: !popped;
+        Issue_heap.pop h
+      done;
+      let expected =
+        List.sort
+          (fun p q -> match Float.compare keys.(p) keys.(q) with 0 -> compare p q | c -> c)
+          (List.init n Fun.id)
+      in
+      List.rev !popped = expected)
+
+(* The engine's use: re-key the minimum (here by any amount, up or
+   down) or retire it; each step's minimum is what a linear scan with a
+   strict [<] over ascending indices picks. *)
+let prop_heap_matches_scan =
+  qtest "Issue_heap: re-keyed minimum matches the index-order scan"
+    QCheck2.Gen.(pair keys_gen (list_size (int_range 0 200) (int_range 0 6)))
+    (fun (init, steps) ->
+      let n = Array.length init in
+      let keys = Array.copy init and live = Array.make n true in
+      let h = Issue_heap.create ~keys ~capacity:n in
+      for p = 0 to n - 1 do
+        Issue_heap.push h p
+      done;
+      let scan () =
+        let best = ref (-1) in
+        Array.iteri
+          (fun p k -> if live.(p) && (!best < 0 || k < keys.(!best)) then best := p)
+          keys;
+        !best
+      in
+      let rec go = function
+        | [] -> true
+        | _ when Issue_heap.is_empty h -> not (Array.exists Fun.id live)
+        | d :: rest ->
+            let p = Issue_heap.min h in
+            p = scan ()
+            && begin
+                 if d = 0 then begin
+                   live.(p) <- false;
+                   Issue_heap.pop h
+                 end
+                 else begin
+                   keys.(p) <- keys.(p) +. float_of_int (d - 3);
+                   Issue_heap.fix_min h
+                 end;
+                 go rest
+               end
+      in
+      go steps)
+
+(* Arrival order only matters within a processor's stream, and the
+   engine sorts what it needs itself: a trace in any order simulates
+   exactly as the same trace stable-sorted by [compare_arrival] does.
+   Coarse arrival times make ties (kept in input order) common. *)
+let prop_input_order_irrelevant =
+  qtest ~count:60 "Engine: result independent of pre-sorting the trace"
+    QCheck2.Gen.(
+      list_size (int_range 1 40)
+        (map
+           (fun (proc, seg, arrival, think, disk) ->
+             {
+               (req ~proc ~seg ~disk ~lba:(disk * 7919 * 4096) ~think:(float_of_int think) ())
+               with
+               Request.arrival_ms = float_of_int arrival;
+             })
+           (tup5 (int_range 0 3) (int_range 0 2) (int_range 0 8) (int_range 1 20_000)
+              (int_range 0 2))))
+    (fun reqs ->
+      let run reqs =
+        let obs = Dp_obs.Sink.ring () in
+        let r = Engine.simulate ~obs ~disks:3 (Policy.tpm ()) reqs in
+        (r, Dp_obs.Sink.events obs)
+      in
+      run reqs = run (List.stable_sort Request.compare_arrival reqs))
+
+let test_heap_bounds () =
+  let h = Issue_heap.create ~keys:[| 0.0 |] ~capacity:1 in
+  let raises name f =
+    check Alcotest.bool name true (try f (); false with Invalid_argument _ -> true)
+  in
+  raises "min of empty" (fun () -> ignore (Issue_heap.min h));
+  raises "pop of empty" (fun () -> Issue_heap.pop h);
+  Issue_heap.push h 0;
+  raises "push past capacity" (fun () -> Issue_heap.push h 0)
+
+(* A synthetic closed-loop trace: [n] requests dealt round-robin to
+   [procs] processors over 8 disks. *)
+let synthetic_trace ~procs ~n =
+  List.init n (fun i ->
+      let p = i mod procs in
+      {
+        (req ~proc:p ~disk:((i / procs + p) mod 8) ~lba:(i * 7919 mod 1000 * 4096)
+           ~think:(float_of_int (1 + (i * 7919 mod 13)))
+           ())
+        with
+        Request.arrival_ms = float_of_int i;
+      })
+
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+(* The issue step must not cost allocation per processor: words per
+   request at 600 processors stay within 1.5x of one processor at the
+   same request count (an O(P) scan that allocates per visited
+   processor puts this near 10x).  Counted words, not time, so the
+   check is deterministic. *)
+let test_issue_allocation_flat () =
+  let n = 24_000 in
+  let words_per_request procs =
+    let reqs = synthetic_trace ~procs ~n in
+    let w0 = allocated_words () in
+    let r = Engine.simulate ~disks:8 Policy.No_pm reqs in
+    let w = allocated_words () -. w0 in
+    check Alcotest.int
+      (Printf.sprintf "P = %d: every request served" procs)
+      n
+      (Array.fold_left
+         (fun acc (d : Engine.disk_stats) -> acc + d.Engine.requests)
+         0 r.Engine.per_disk);
+    w /. float_of_int n
+  in
+  let one = words_per_request 1 and many = words_per_request 600 in
+  check Alcotest.bool
+    (Printf.sprintf "words/request at P = 600 (%.0f) <= 1.5x P = 1 (%.0f)" many one)
+    true
+    (many <= 1.5 *. one)
+
 let suites =
   [
+    ( "disksim.issue",
+      [
+        prop_heap_order;
+        prop_heap_matches_scan;
+        prop_input_order_irrelevant;
+        Alcotest.test_case "heap bounds" `Quick test_heap_bounds;
+        Alcotest.test_case "allocation flat in processors" `Quick test_issue_allocation_flat;
+      ] );
     ( "disksim.model",
       [
         Alcotest.test_case "levels" `Quick test_model_levels;

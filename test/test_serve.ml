@@ -234,6 +234,74 @@ let test_config_validation () =
   rejects "negative jitter at merge" (fun () ->
       Mux.merge ~rng:(Splitmix.create 1) ~jitter_ms:(-1.0) [])
 
+(* --- order pins: the engine's issue order, frozen as artifact digests --- *)
+
+module Engine = Dp_disksim.Engine
+module Policy = Dp_disksim.Policy
+
+let precise_digest r =
+  Digest.to_hex (Digest.string (Json_out.to_string_precise (Json_out.of_serve r)))
+
+(* Every tenant starts at t = 0, so the first issue step of the closed
+   loop is a 600-way tie: the processor-index tie-break alone decides
+   which request the array serves first, and every later tie too. *)
+let test_pin_tied_start () =
+  let r = Serve.run (Serve.config ~jitter_ms:0.0 ~tenants:600 ~seed:42 ()) in
+  check Alcotest.string "600 tenants tied at t = 0" "d9a66d5813246acc1d80c966c3d3fa81"
+    (precise_digest r)
+
+(* Faults, a deadline (which arms the repair domain), a spare-pool
+   override, engine shards and per-disk observability reports together. *)
+let test_pin_faulted_sharded () =
+  let r =
+    Serve.run
+      (Serve.config ~tenants:64 ~seed:7 ~shards:4 ~obs:true ~deadline_ms:400.0 ~spare_blocks:8
+         ~faults:(Dp_faults.Fault_model.make ~seed:11 ~rate:0.05 ())
+         ())
+  in
+  check Alcotest.string "64 tenants, faulted, sharded, observed"
+    "6ff3de3f010ecfd1b637de383ad72e1e" (precise_digest r)
+
+(* The merged 600-tenant trace [Serve.run] simulates. *)
+let served_trace ~tenants ~seed ~disks =
+  let root = Splitmix.create seed in
+  let pop_rng = Splitmix.split root in
+  let mux_rng = Splitmix.split root in
+  let tenants = Tenant.population ~rng:pop_rng ~tenants ~disks () in
+  Mux.merge ~rng:mux_rng ~jitter_ms:30_000.0 tenants
+
+(* Results and the full event stream (as a count plus a running digest
+   of the JSONL rendering) are the same for every shard count. *)
+let test_engine_shards_identical () =
+  let reqs = served_trace ~tenants:600 ~seed:42 ~disks:8 in
+  let run shards =
+    let n = ref 0 and acc = ref (Digest.string "") and buf = Buffer.create 65536 in
+    let flush () =
+      acc := Digest.string (!acc ^ Buffer.contents buf);
+      Buffer.clear buf
+    in
+    let obs =
+      Dp_obs.Sink.stream (fun e ->
+          incr n;
+          Buffer.add_string buf (Dp_obs.Event.to_json e);
+          Buffer.add_char buf '\n';
+          if Buffer.length buf >= 65536 then flush ())
+    in
+    let r = Engine.simulate ~obs ~shards ~disks:8 (Policy.tpm ()) reqs in
+    flush ();
+    (r, !n, Digest.to_hex !acc)
+  in
+  let r1, n1, d1 = run 1 in
+  check Alcotest.bool "events emitted" true (n1 > 0);
+  List.iter
+    (fun shards ->
+      let r, n, d = run shards in
+      let label = Printf.sprintf "shards %d" shards in
+      check Alcotest.bool (label ^ ": result identical") true (r = r1);
+      check Alcotest.int (label ^ ": event count") n1 n;
+      check Alcotest.string (label ^ ": event stream identical") d1 d)
+    [ 2; 4; 8 ]
+
 let suites =
   [
     ( "serve",
@@ -258,5 +326,13 @@ let suites =
           test_serve_decay_rate_zero_identity;
         Alcotest.test_case "reliability config validation" `Quick
           test_serve_reliability_config_validation;
+      ] );
+    ( "serve.order",
+      [
+        Alcotest.test_case "pin: 600 tenants tied at t = 0" `Quick test_pin_tied_start;
+        Alcotest.test_case "pin: 64 tenants faulted, sharded, observed" `Quick
+          test_pin_faulted_sharded;
+        Alcotest.test_case "engine: shard counts agree on 600 tenants" `Quick
+          test_engine_shards_identical;
       ] );
   ]
